@@ -23,7 +23,13 @@ import (
 // and the same class of bug as the scenario sweeps that used to
 // rebuild the catalogue inside their timed region.
 func TestCompiledReplayDoesNoLayoutResolution(t *testing.T) {
-	s := attack.Catalog()[0]
+	// internal-overflow declares its enclosing class on every run, so
+	// its interpreted run resolves a layout even after the shared world
+	// classes are cached for the model.
+	s, err := attack.ByID("internal-overflow")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	before := layout.Resolutions()
 	if _, err := s.Run(defense.None); err != nil {

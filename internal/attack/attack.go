@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/defense"
@@ -160,50 +161,55 @@ type Scenario struct {
 	Run func(cfg defense.Config) (*Outcome, error)
 }
 
-// Catalog returns every scenario in paper order.
+// catalog is every scenario in paper order, built once. It is never
+// modified: Catalog hands out copies.
+var catalog = []Scenario{
+	{"construct-overflow", "§3.1 L4", "object overflow via construction", runConstructOverflow},
+	{"remote-overflow", "§3.2 L5–7", "object overflow via serialized/remote object", runRemoteOverflow},
+	{"remote-array", "§3.2 L5–6", "oversized remote array walks past declared member", runRemoteArray},
+	{"indirect-overflow", "§3.3 L8–9", "object overflow via indirect construction", runIndirectOverflow},
+	{"internal-overflow", "§3.4 L10", "internal overflow of enclosing object state", runInternalOverflow},
+	{"bss-overflow", "§3.5 L11", "data/bss overflow rewrites sibling object", runBssOverflow},
+	{"heap-overflow", "§3.5.1 L12", "heap overflow rewrites adjacent buffer", runHeapOverflow},
+	{"stack-ret", "§3.6.1 L13", "return-address overwrite via object overflow", runStackRet},
+	{"canary-skip", "§5.2", "selective overwrite bypasses StackGuard", runCanarySkip},
+	{"arc-injection", "§3.6.2", "return-to-privileged-function (arc injection)", runArcInjection},
+	{"code-injection", "§3.6.2", "stack shellcode execution (code injection)", runCodeInjection},
+	{"var-bss", "§3.7.1 L14", "overwrite of global variable in data/bss", runVarBss},
+	{"var-stack", "§3.7.2 L15", "overwrite of local variable on stack", runVarStack},
+	{"member-var", "§3.8.1 L16", "overwrite of adjacent object's member", runMemberVar},
+	{"vptr-bss", "§3.8.2", "vtable-pointer subterfuge via bss overflow", runVptrBss},
+	{"vptr-stack", "§3.8.2", "vtable-pointer subterfuge via stack overflow", runVptrStack},
+	{"vptr-crash", "§3.8.2", "invalid vtable pointer crashes the victim (DoS)", runVptrCrash},
+	{"vptr-multi", "§3.8.2", "secondary vtable pointer subterfuge (multiple inheritance)", runVptrMulti},
+	{"type-confusion", "§2.5(3)", "same-size type confusion defeats pure bounds checking", runTypeConfusion},
+	{"funcptr", "§3.9 L17", "function-pointer subterfuge", runFuncPtr},
+	{"varptr", "§3.10 L18", "variable-pointer subterfuge", runVarPtr},
+	{"array-2step-stack", "§4.1 L19", "two-step array overflow smashes the stack", runArrayTwoStepStack},
+	{"array-2step-bss", "§4.2 L20", "two-step array overflow past a global pool", runArrayTwoStepBss},
+	{"infoleak-array", "§4.3 L21", "information leak through pool reuse (array)", runInfoLeakArray},
+	{"infoleak-object", "§4.3 L22", "information leak through arena reuse (object)", runInfoLeakObject},
+	{"dos-loop", "§4.4", "denial of service via loop-bound modification", runDoSLoop},
+	{"dos-exhaust", "§4.4", "denial of service via resource exhaustion", runDoSExhaust},
+	{"memleak", "§4.5 L23", "memory leak via undersized release", runMemLeak},
+	{"dangling-write", "§4.5 L23", "stale store through a released placement", runDanglingWrite},
+}
+
+// Catalog returns every scenario in paper order, as a fresh slice the
+// caller may modify.
 func Catalog() []Scenario {
-	return []Scenario{
-		{"construct-overflow", "§3.1 L4", "object overflow via construction", runConstructOverflow},
-		{"remote-overflow", "§3.2 L5–7", "object overflow via serialized/remote object", runRemoteOverflow},
-		{"remote-array", "§3.2 L5–6", "oversized remote array walks past declared member", runRemoteArray},
-		{"indirect-overflow", "§3.3 L8–9", "object overflow via indirect construction", runIndirectOverflow},
-		{"internal-overflow", "§3.4 L10", "internal overflow of enclosing object state", runInternalOverflow},
-		{"bss-overflow", "§3.5 L11", "data/bss overflow rewrites sibling object", runBssOverflow},
-		{"heap-overflow", "§3.5.1 L12", "heap overflow rewrites adjacent buffer", runHeapOverflow},
-		{"stack-ret", "§3.6.1 L13", "return-address overwrite via object overflow", runStackRet},
-		{"canary-skip", "§5.2", "selective overwrite bypasses StackGuard", runCanarySkip},
-		{"arc-injection", "§3.6.2", "return-to-privileged-function (arc injection)", runArcInjection},
-		{"code-injection", "§3.6.2", "stack shellcode execution (code injection)", runCodeInjection},
-		{"var-bss", "§3.7.1 L14", "overwrite of global variable in data/bss", runVarBss},
-		{"var-stack", "§3.7.2 L15", "overwrite of local variable on stack", runVarStack},
-		{"member-var", "§3.8.1 L16", "overwrite of adjacent object's member", runMemberVar},
-		{"vptr-bss", "§3.8.2", "vtable-pointer subterfuge via bss overflow", runVptrBss},
-		{"vptr-stack", "§3.8.2", "vtable-pointer subterfuge via stack overflow", runVptrStack},
-		{"vptr-crash", "§3.8.2", "invalid vtable pointer crashes the victim (DoS)", runVptrCrash},
-		{"vptr-multi", "§3.8.2", "secondary vtable pointer subterfuge (multiple inheritance)", runVptrMulti},
-		{"type-confusion", "§2.5(3)", "same-size type confusion defeats pure bounds checking", runTypeConfusion},
-		{"funcptr", "§3.9 L17", "function-pointer subterfuge", runFuncPtr},
-		{"varptr", "§3.10 L18", "variable-pointer subterfuge", runVarPtr},
-		{"array-2step-stack", "§4.1 L19", "two-step array overflow smashes the stack", runArrayTwoStepStack},
-		{"array-2step-bss", "§4.2 L20", "two-step array overflow past a global pool", runArrayTwoStepBss},
-		{"infoleak-array", "§4.3 L21", "information leak through pool reuse (array)", runInfoLeakArray},
-		{"infoleak-object", "§4.3 L22", "information leak through arena reuse (object)", runInfoLeakObject},
-		{"dos-loop", "§4.4", "denial of service via loop-bound modification", runDoSLoop},
-		{"dos-exhaust", "§4.4", "denial of service via resource exhaustion", runDoSExhaust},
-		{"memleak", "§4.5 L23", "memory leak via undersized release", runMemLeak},
-		{"dangling-write", "§4.5 L23", "stale store through a released placement", runDanglingWrite},
-	}
+	return append([]Scenario(nil), catalog...)
 }
 
 // ByID resolves a scenario by its short name.
 func ByID(id string) (Scenario, error) {
-	for _, s := range Catalog() {
+	for _, s := range catalog {
 		if s.ID == id {
 			return s, nil
 		}
 	}
 	var known []string
-	for _, s := range Catalog() {
+	for _, s := range catalog {
 		known = append(known, s.ID)
 	}
 	sort.Strings(known)
@@ -213,7 +219,7 @@ func ByID(id string) (Scenario, error) {
 // RunAll executes every scenario under cfg.
 func RunAll(cfg defense.Config) ([]*Outcome, error) {
 	var out []*Outcome
-	for _, s := range Catalog() {
+	for _, s := range catalog {
 		o, err := s.Run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("attack: scenario %s under %s: %w", s.ID, cfg.Name, err)
@@ -227,7 +233,7 @@ func RunAll(cfg defense.Config) ([]*Outcome, error) {
 // experiment E15.
 func RunMatrix(configs []defense.Config) (map[string]map[string]*Outcome, error) {
 	matrix := make(map[string]map[string]*Outcome)
-	for _, s := range Catalog() {
+	for _, s := range catalog {
 		row := make(map[string]*Outcome, len(configs))
 		for _, cfg := range configs {
 			o, err := s.Run(cfg)
@@ -248,7 +254,15 @@ func RunMatrix(configs []defense.Config) (map[string]map[string]*Outcome, error)
 type world struct {
 	cfg defense.Config
 	p   *machine.Process
+	*worldClasses
+}
 
+// worldClasses are the Listing 1 classes and their polymorphic variants.
+// One set exists per data model and is shared by every run under that
+// model, concurrent runs included: each class is resolved with layout.Of
+// before the set is published and never mutated afterwards, so runs only
+// read the classes' cached layouts.
+type worldClasses struct {
 	student *layout.Class // { double gpa; int year, semester; }
 	grad    *layout.Class // : Student { int ssn[3]; }
 
@@ -256,27 +270,52 @@ type world struct {
 	vgrad    *layout.Class
 }
 
+// worldClassCache maps Model.Name to its resolved *worldClasses, like
+// layout's own per-model cache.
+var worldClassCache sync.Map
+
+// classesFor returns the world classes resolved under m, building them on
+// the first run under that model.
+func classesFor(m layout.Model) (*worldClasses, error) {
+	if wc, ok := worldClassCache.Load(m.Name); ok {
+		return wc.(*worldClasses), nil
+	}
+	wc := &worldClasses{}
+	wc.student = layout.NewClass("Student").
+		AddField("gpa", layout.Double).
+		AddField("year", layout.Int).
+		AddField("semester", layout.Int)
+	wc.grad = layout.NewClass("GradStudent", wc.student).
+		AddField("ssn", layout.ArrayOf(layout.Int, 3))
+	wc.vstudent = layout.NewClass("VStudent").
+		AddVirtual("getInfo").
+		AddField("gpa", layout.Double).
+		AddField("year", layout.Int).
+		AddField("semester", layout.Int)
+	wc.vgrad = layout.NewClass("VGradStudent", wc.vstudent).
+		AddVirtual("getInfo").
+		AddField("ssn", layout.ArrayOf(layout.Int, 3))
+	for _, c := range []*layout.Class{wc.student, wc.grad, wc.vstudent, wc.vgrad} {
+		if _, err := layout.Of(c, m); err != nil {
+			return nil, err
+		}
+	}
+	// A racing first run may have published its own set; every run under
+	// m uses whichever was stored first.
+	got, _ := worldClassCache.LoadOrStore(m.Name, wc)
+	return got.(*worldClasses), nil
+}
+
 func newWorld(cfg defense.Config) (*world, error) {
 	p, err := cfg.NewProcess()
 	if err != nil {
 		return nil, err
 	}
-	w := &world{cfg: cfg, p: p}
-	w.student = layout.NewClass("Student").
-		AddField("gpa", layout.Double).
-		AddField("year", layout.Int).
-		AddField("semester", layout.Int)
-	w.grad = layout.NewClass("GradStudent", w.student).
-		AddField("ssn", layout.ArrayOf(layout.Int, 3))
-	w.vstudent = layout.NewClass("VStudent").
-		AddVirtual("getInfo").
-		AddField("gpa", layout.Double).
-		AddField("year", layout.Int).
-		AddField("semester", layout.Int)
-	w.vgrad = layout.NewClass("VGradStudent", w.vstudent).
-		AddVirtual("getInfo").
-		AddField("ssn", layout.ArrayOf(layout.Int, 3))
-	return w, nil
+	wc, err := classesFor(p.Model)
+	if err != nil {
+		return nil, err
+	}
+	return &world{cfg: cfg, p: p, worldClasses: wc}, nil
 }
 
 // sizes returns sizeof(Student) and sizeof(GradStudent) under the world's

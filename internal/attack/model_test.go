@@ -1,6 +1,8 @@
 package attack
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/defense"
@@ -60,5 +62,76 @@ func TestStackGuardGeneralisesToLP64(t *testing.T) {
 	o = runScenario(t, "canary-skip", sg)
 	if !o.Succeeded {
 		t.Errorf("canary skip failed on LP64: %s %v", o.Status(), o.Details)
+	}
+}
+
+// TestMatrixConcurrentAcrossDataModels runs the 29 × 14 matrix under
+// ILP32, ILP32-i386 and LP64 from several goroutines at once, starting
+// from an empty world-class cache so the goroutines also race to build
+// and publish each model's classes. Every outcome must equal the one a
+// sequential run produced. Under -race this is the gate for the sharing
+// contract of worldClasses: resolved before publication, only read after.
+func TestMatrixConcurrentAcrossDataModels(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three full matrices per goroutine are slow in -short mode")
+	}
+	type cell struct {
+		s   Scenario
+		cfg defense.Config
+	}
+	models := []layout.Model{layout.ILP32, layout.ILP32i386, layout.LP64}
+	var cells []cell
+	for _, m := range models {
+		for _, d := range defense.Catalog() {
+			d.Model = m
+			for _, s := range Catalog() {
+				cells = append(cells, cell{s, d})
+			}
+		}
+	}
+	render := func(c cell) string {
+		o, err := c.s.Run(c.cfg)
+		if err != nil {
+			return fmt.Sprintf("%s/%s/%s: error %v", c.s.ID, c.cfg.Name, c.cfg.Model.Name, err)
+		}
+		return fmt.Sprintf("%s/%s/%s: %s %q %v", c.s.ID, c.cfg.Name, c.cfg.Model.Name, o.Status(), o.Details, o.Metrics)
+	}
+	want := make([]string, len(cells))
+	for i, c := range cells {
+		want[i] = render(c)
+	}
+
+	worldClassCache.Range(func(k, _ any) bool {
+		worldClassCache.Delete(k)
+		return true
+	})
+	// Two goroutines start on each model's matrix, both with that model
+	// cold, released together so they race to build and publish its
+	// classes; each then walks on through the other two models.
+	workers := 2 * len(models)
+	perModel := len(cells) / len(models)
+	start := make(chan struct{})
+	got := make([][]string, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		got[g] = make([]string, len(cells))
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for k := range cells {
+				i := (k + (g%len(models))*perModel) % len(cells)
+				got[g][i] = render(cells[i])
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g := range got {
+		for i := range cells {
+			if got[g][i] != want[i] {
+				t.Errorf("goroutine %d diverged from the sequential run:\n got %s\nwant %s", g, got[g][i], want[i])
+			}
+		}
 	}
 }

@@ -239,12 +239,17 @@ func (m *Memory) Protect(kind SegKind, perm Perm) error {
 	return nil
 }
 
-// FindSegment returns the segment containing addr, or nil.
+// FindSegment returns the segment containing addr, or nil. A process
+// image has at most six segments, sorted by base, so a plain scan beats
+// a binary search with its per-probe closure call.
 func (m *Memory) FindSegment(addr Addr) *Segment {
-	// Binary search over sorted bases.
-	i := sort.Search(len(m.segs), func(i int) bool { return m.segs[i].End() > addr })
-	if i < len(m.segs) && m.segs[i].Contains(addr) {
-		return m.segs[i]
+	for _, s := range m.segs {
+		if addr < s.Base {
+			return nil
+		}
+		if addr < s.End() {
+			return s
+		}
 	}
 	return nil
 }
@@ -273,15 +278,9 @@ func (m *Memory) CheckRange(addr Addr, n uint64, perm Perm) error {
 
 // Read copies n bytes starting at addr into a fresh slice.
 func (m *Memory) Read(addr Addr, n uint64) ([]byte, error) {
-	s, f := m.seg(addr, n)
-	if f != nil {
-		return nil, f
-	}
-	if s.Perm&PermRead == 0 {
-		return nil, &Fault{Kind: FaultPerm, Addr: addr, Size: n, Want: PermRead, Have: s.Perm}
-	}
-	if m.obs != nil {
-		m.obs(AccessRead, addr, n)
+	s, err := m.checkLoad(addr, n)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]byte, n)
 	s.readRaw(uint64(addr.Diff(s.Base)), out)
@@ -296,30 +295,29 @@ func (m *Memory) Read(addr Addr, n uint64) ([]byte, error) {
 	return out, nil
 }
 
+// checkLoad runs the pre-load half of the read pipeline shared by Read
+// and the typed loads: segment lookup, permission fault, observer.
+func (m *Memory) checkLoad(addr Addr, n uint64) (*Segment, error) {
+	s, f := m.seg(addr, n)
+	if f != nil {
+		return nil, f
+	}
+	if s.Perm&PermRead == 0 {
+		return nil, &Fault{Kind: FaultPerm, Addr: addr, Size: n, Want: PermRead, Have: s.Perm}
+	}
+	if m.obs != nil {
+		m.obs(AccessRead, addr, n)
+	}
+	return s, nil
+}
+
 // Write copies b into memory at addr, honouring permissions and firing
 // watchpoints. The old bytes are captured before the write for tracing.
 func (m *Memory) Write(addr Addr, b []byte) error {
 	n := uint64(len(b))
-	s, f := m.seg(addr, n)
-	if f != nil {
-		return f
-	}
-	if s.Perm&PermWrite == 0 {
-		return &Fault{Kind: FaultPerm, Addr: addr, Size: n, Want: PermWrite, Have: s.Perm}
-	}
-	if m.obs != nil {
-		m.obs(AccessWrite, addr, n)
-	}
-	if m.shadow != nil {
-		// The sanitizer runs before the guard check so the
-		// byte-granular diagnosis wins attribution, and before any
-		// byte is stored: a rejected write corrupts nothing.
-		if f := m.shadow.CheckWrite(addr, n); f != nil {
-			return f
-		}
-	}
-	if f := m.checkGuards(addr, n); f != nil {
-		return f
+	s, err := m.checkStore(addr, n)
+	if err != nil {
+		return err
 	}
 	if m.hook != nil {
 		switch d := m.hook(AccessWrite, addr, b); {
@@ -354,6 +352,34 @@ func (m *Memory) Write(addr Addr, b []byte) error {
 	return nil
 }
 
+// checkStore runs the pre-store half of the write pipeline shared by
+// Write and the typed stores: segment lookup, permission fault,
+// observer, shadow, guards — in that order, before any byte is stored.
+func (m *Memory) checkStore(addr Addr, n uint64) (*Segment, error) {
+	s, f := m.seg(addr, n)
+	if f != nil {
+		return nil, f
+	}
+	if s.Perm&PermWrite == 0 {
+		return nil, &Fault{Kind: FaultPerm, Addr: addr, Size: n, Want: PermWrite, Have: s.Perm}
+	}
+	if m.obs != nil {
+		m.obs(AccessWrite, addr, n)
+	}
+	if m.shadow != nil {
+		// The sanitizer runs before the guard check so the
+		// byte-granular diagnosis wins attribution, and before any
+		// byte is stored: a rejected write corrupts nothing.
+		if f := m.shadow.CheckWrite(addr, n); f != nil {
+			return nil, f
+		}
+	}
+	if f := m.checkGuards(addr, n); f != nil {
+		return nil, f
+	}
+	return s, nil
+}
+
 // Poke writes bytes ignoring write permission (but still requiring the
 // range to be mapped). It is used by the loader to populate text/rodata and
 // never by simulated program code.
@@ -386,68 +412,89 @@ func (m *Memory) Memset(addr Addr, v byte, n uint64) error {
 
 // --- Fixed-width scalar accessors (little-endian, as on the paper's i386
 // testbed). -------------------------------------------------------------
+//
+// The typed accessors decode and encode through a stack [8]byte and run
+// the same pipeline as Read and Write (checkLoad / checkStore, then the
+// mutation observer), so a scalar access allocates nothing. Whenever a
+// seam that receives or keeps the byte slice is armed — an AccessHook
+// for loads; a hook, write logger or watchpoint for stores — they take
+// the allocating Read/Write path instead.
 
-// ReadU8 reads one byte.
-func (m *Memory) ReadU8(addr Addr) (uint8, error) {
-	b, err := m.Read(addr, 1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-// WriteU8 writes one byte.
-func (m *Memory) WriteU8(addr Addr, v uint8) error { return m.Write(addr, []byte{v}) }
-
-// ReadU16 reads a little-endian uint16.
-func (m *Memory) ReadU16(addr Addr) (uint16, error) {
-	b, err := m.Read(addr, 2)
-	if err != nil {
-		return 0, err
-	}
-	return uint16(b[0]) | uint16(b[1])<<8, nil
-}
-
-// WriteU16 writes a little-endian uint16.
-func (m *Memory) WriteU16(addr Addr, v uint16) error {
-	return m.Write(addr, []byte{byte(v), byte(v >> 8)})
-}
-
-// ReadU32 reads a little-endian uint32.
-func (m *Memory) ReadU32(addr Addr) (uint32, error) {
-	b, err := m.Read(addr, 4)
-	if err != nil {
-		return 0, err
-	}
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil
-}
-
-// WriteU32 writes a little-endian uint32.
-func (m *Memory) WriteU32(addr Addr, v uint32) error {
-	return m.Write(addr, []byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
-}
-
-// ReadU64 reads a little-endian uint64.
-func (m *Memory) ReadU64(addr Addr) (uint64, error) {
-	b, err := m.Read(addr, 8)
-	if err != nil {
-		return 0, err
+// readScalar loads an n-byte little-endian unsigned integer (n <= 8).
+func (m *Memory) readScalar(addr Addr, n uint64) (uint64, error) {
+	var buf [8]byte
+	b := buf[:n]
+	if m.hook != nil {
+		var err error
+		if b, err = m.Read(addr, n); err != nil {
+			return 0, err
+		}
+	} else {
+		s, err := m.checkLoad(addr, n)
+		if err != nil {
+			return 0, err
+		}
+		s.readRaw(uint64(addr.Diff(s.Base)), b)
 	}
 	var v uint64
-	for i := 7; i >= 0; i-- {
+	for i := int(n) - 1; i >= 0; i-- {
 		v = v<<8 | uint64(b[i])
 	}
 	return v, nil
 }
 
-// WriteU64 writes a little-endian uint64.
-func (m *Memory) WriteU64(addr Addr, v uint64) error {
-	b := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
+// writeScalar stores the low n bytes of v little-endian (n <= 8).
+func (m *Memory) writeScalar(addr Addr, v uint64, n uint64) error {
+	var buf [8]byte
+	for i := uint64(0); i < n; i++ {
+		buf[i] = byte(v >> (8 * i))
 	}
-	return m.Write(addr, b)
+	if m.hook != nil || m.writeLog != nil || len(m.watch) > 0 {
+		return m.Write(addr, append([]byte(nil), buf[:n]...))
+	}
+	s, err := m.checkStore(addr, n)
+	if err != nil {
+		return err
+	}
+	s.writeRaw(uint64(addr.Diff(s.Base)), buf[:n])
+	if m.mut != nil {
+		m.mut(addr, n)
+	}
+	return nil
 }
+
+// ReadU8 reads one byte.
+func (m *Memory) ReadU8(addr Addr) (uint8, error) {
+	v, err := m.readScalar(addr, 1)
+	return uint8(v), err
+}
+
+// WriteU8 writes one byte.
+func (m *Memory) WriteU8(addr Addr, v uint8) error { return m.writeScalar(addr, uint64(v), 1) }
+
+// ReadU16 reads a little-endian uint16.
+func (m *Memory) ReadU16(addr Addr) (uint16, error) {
+	v, err := m.readScalar(addr, 2)
+	return uint16(v), err
+}
+
+// WriteU16 writes a little-endian uint16.
+func (m *Memory) WriteU16(addr Addr, v uint16) error { return m.writeScalar(addr, uint64(v), 2) }
+
+// ReadU32 reads a little-endian uint32.
+func (m *Memory) ReadU32(addr Addr) (uint32, error) {
+	v, err := m.readScalar(addr, 4)
+	return uint32(v), err
+}
+
+// WriteU32 writes a little-endian uint32.
+func (m *Memory) WriteU32(addr Addr, v uint32) error { return m.writeScalar(addr, uint64(v), 4) }
+
+// ReadU64 reads a little-endian uint64.
+func (m *Memory) ReadU64(addr Addr) (uint64, error) { return m.readScalar(addr, 8) }
+
+// WriteU64 writes a little-endian uint64.
+func (m *Memory) WriteU64(addr Addr, v uint64) error { return m.writeScalar(addr, v, 8) }
 
 // ReadUint reads an unsigned integer of the given byte width (1, 2, 4, 8).
 func (m *Memory) ReadUint(addr Addr, width int) (uint64, error) {

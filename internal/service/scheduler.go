@@ -272,6 +272,14 @@ func (s *Scheduler) Do(ctx context.Context, adm Admit, fn func(ctx context.Conte
 		return nil, s.reject(adm, ReasonLimiter, s.limiter.RetryAfter(now, s.cfg.RetryAfter))
 	}
 	t := &task{ctx: ctx, adm: adm, fn: fn, done: make(chan taskResult, 1), admitted: now}
+	// Announce the admission before the push: once queued, a worker may
+	// dequeue the task and publish its queue_wait span-end, which must
+	// not overtake this event. A failed push publishes a compensating
+	// shed.
+	if s.cfg.Bus.Active() {
+		s.cfg.Bus.Publish(obs.KindAdmission, adm.Trace.Ref(), adm.Tenant, map[string]string{
+			"action": "admitted", "lane": adm.Priority.String()})
+	}
 	entry, pres := s.fq.push(t, adm.Tenant, adm.Priority)
 	switch pres {
 	case pushFull:
@@ -280,13 +288,10 @@ func (s *Scheduler) Do(ctx context.Context, adm Admit, fn func(ctx context.Conte
 		return nil, s.reject(adm, ReasonQueueFull, s.limiter.RetryAfter(now, s.cfg.RetryAfter))
 	case pushClosed:
 		s.refund(adm)
+		s.shed(adm, ReasonDraining)
 		return nil, s.reject(adm, ReasonDraining, s.cfg.RetryAfter)
 	}
 	s.gauges()
-	if s.cfg.Bus.Active() {
-		s.cfg.Bus.Publish(obs.KindAdmission, adm.Trace.Ref(), adm.Tenant, map[string]string{
-			"action": "admitted", "lane": adm.Priority.String()})
-	}
 	select {
 	case r := <-t.done:
 		return r.val, r.err

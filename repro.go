@@ -14,10 +14,10 @@
 //   - internal/core     — placement new, checked placement, pools, leaks
 //   - internal/machine  — the victim process: calls, hijack dispatch, NX
 //   - internal/serial   — remote-object wire format and deserializers
-//   - internal/attack   — the 23-scenario attack catalogue (§3–§4)
+//   - internal/attack   — the 29-scenario attack catalogue (§3–§4)
 //   - internal/defense  — defense configurations (§5)
 //   - internal/analyzer — the §7 static-analysis tool + baseline scanner
-//   - internal/experiments, internal/report — the E1–E17 harness
+//   - internal/experiments, internal/report — the E1–E19 harness
 //
 // Binaries: cmd/pnattack, cmd/pnscan, cmd/pnbench. Runnable examples:
 // examples/quickstart, examples/webservice, examples/infoleak,
